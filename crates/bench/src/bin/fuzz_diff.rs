@@ -13,7 +13,11 @@
 //!   particular, any parallel-vs-serial compiled divergence. A second
 //!   pruning arm (`HEPQUERY_FUZZ_PRUNE_PLANS`, default 60) re-runs each
 //!   plan with zone-map pruning forced off and on and requires both to
-//!   match the oracle, so an unsound zone map cannot hide.
+//!   match the oracle, so an unsound zone map cannot hide. A third,
+//!   frontend-lowering arm sends each plan's BigQuery, Presto, Athena and
+//!   JSONiq text through that frontend's `compile::lower`, which must
+//!   reproduce the plan's direct lowering (filters as a set, compute,
+//!   spec), and through the compiled engine, which must match the oracle.
 //! * `--faults` — sweeps every fault class over a smaller plan budget
 //!   (persistent faults must surface typed `ScanError`s, transient faults
 //!   must converge to the oracle under bounded retry), then drives a
@@ -35,7 +39,9 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use chaos::{differential_fuzz, fault_sweep, pruning_differential_fuzz};
+use chaos::{
+    differential_fuzz, fault_sweep, lowering_differential_fuzz, pruning_differential_fuzz,
+};
 use hep_model::generator::build_dataset;
 use hep_model::{DatasetSpec, Event};
 use hepbench_core::adapters::ExecEnv;
@@ -113,6 +119,33 @@ fn run_pruning_diff(events: &[Event], table: &Arc<Table>) -> u32 {
     );
     if report.passed() {
         eprintln!("# pruning differential fuzz OK");
+        0
+    } else {
+        report.divergences.len() as u32
+    }
+}
+
+/// Frontend-lowering arm of the differential phase: the same seeded
+/// plans' texts through each SQL dialect's and JSONiq's structural
+/// lowering, which must reproduce the plan's direct lowering, and through
+/// the compiled engines, which must match the oracle.
+fn run_lowering_diff(events: &[Event], table: &Arc<Table>) -> u32 {
+    let seed = env_u64("HEPQUERY_FUZZ_SEED", 0x5EED);
+    let n_plans = env_u64("HEPQUERY_FUZZ_PLANS", 200) as usize;
+    eprintln!("# fuzz_diff --check (lowering arm): {n_plans} plans, seed {seed:#x}");
+    let report = lowering_differential_fuzz(seed, n_plans, events, table);
+    for d in &report.divergences {
+        eprintln!("FAIL: {d}");
+    }
+    eprintln!(
+        "  {} plans x {} frontends = {} lowerings, {} divergences",
+        report.plans,
+        chaos::LOWERING_FRONTENDS.len(),
+        report.checks,
+        report.divergences.len()
+    );
+    if report.passed() {
+        eprintln!("# lowering differential fuzz OK");
         0
     } else {
         report.divergences.len() as u32
@@ -241,9 +274,9 @@ fn run_service_morsel_recovery(table: &Arc<Table>) -> u32 {
     );
     let mut failures = 0;
     let mut interventions = 0;
-    // Q6 is the only query the SQL frontend lowers, and Presto/Athena
-    // share the canonical template — the grid that actually reaches the
-    // compiled-parallel morsel path.
+    // Q6 — the heaviest of the queries every SQL dialect lowers — on two
+    // dialects reaches the compiled-parallel morsel path with enough work
+    // per morsel for the injected faults to land.
     for &system in &[System::Presto, System::AthenaV2] {
         for query in [hepbench_core::QueryId::Q6a, hepbench_core::QueryId::Q6b] {
             let req = QueryRequest::new("chaos", system, query)
@@ -311,6 +344,7 @@ fn main() {
         if check || both {
             failures += run_diff(&events, &table);
             failures += run_pruning_diff(&events, &table);
+            failures += run_lowering_diff(&events, &table);
         }
         if faults || both {
             failures += run_fault_sweep(&events, &table);

@@ -27,6 +27,7 @@ use hepbench_core::fuzzplan::{
     CountPred, ElemPred, FillSource, FuzzPlan, ScalarPred, ALL_CMPS, ALL_JET_FIELDS,
     ALL_SCALAR_LEAVES,
 };
+use hepbench_core::queries::Language;
 use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, Table};
 use physics::{HistSpec, Histogram};
 
@@ -215,10 +216,16 @@ impl EngineUnderTest {
         env: &ExecEnv,
     ) -> Result<Histogram, AdapterError> {
         match self {
-            EngineUnderTest::BigQuery => plan.run_sql(engine_sql::Dialect::bigquery(), table, env),
-            EngineUnderTest::Presto => plan.run_sql(engine_sql::Dialect::presto(), table, env),
-            EngineUnderTest::Athena => plan.run_sql(engine_sql::Dialect::athena(), table, env),
-            EngineUnderTest::Jsoniq => plan.run_jsoniq(table, env),
+            EngineUnderTest::BigQuery => {
+                plan.run_sql(engine_sql::Dialect::bigquery(), table, env, false)
+            }
+            EngineUnderTest::Presto => {
+                plan.run_sql(engine_sql::Dialect::presto(), table, env, false)
+            }
+            EngineUnderTest::Athena => {
+                plan.run_sql(engine_sql::Dialect::athena(), table, env, false)
+            }
+            EngineUnderTest::Jsoniq => plan.run_jsoniq(table, env, false),
             EngineUnderTest::Rdf => plan.run_rdf(table, env),
             EngineUnderTest::Compiled => plan.run_compiled(table, env),
             // Steal order is derived from the plan id: every plan sees a
@@ -297,6 +304,105 @@ pub fn differential_fuzz(
         }
     }
     report
+}
+
+/// The text frontends whose structural lowering the lowering arm
+/// ([`lowering_differential_fuzz`]) drives.
+pub const LOWERING_FRONTENDS: &[Language] = &[
+    Language::BigQuery,
+    Language::Presto,
+    Language::Athena,
+    Language::Jsoniq,
+];
+
+/// The frontend-lowering arm: for `n_plans` seeded plans and every text
+/// frontend, `compile::lower` of the parsed [`FuzzPlan::text`] must
+/// reproduce [`FuzzPlan::physical`] (the same filters as a set, the same
+/// compute and spec), and the engine with its compiled path on must
+/// return the oracle histogram. This is the arm that reaches the code
+/// the compiled deployments ship: text, then lowering, then kernels.
+pub fn lowering_differential_fuzz(
+    seed: u64,
+    n_plans: usize,
+    events: &[Event],
+    table: &Arc<Table>,
+) -> DiffReport {
+    let env = ExecEnv::seed();
+    let mut report = DiffReport::default();
+    let mut generator = PlanGenerator::new(seed);
+    for _ in 0..n_plans {
+        let plan = generator.next_plan();
+        let want = plan.physical();
+        let oracle = plan.reference(events);
+        report.plans += 1;
+        for &lang in LOWERING_FRONTENDS {
+            report.checks += 1;
+            let text = plan.text(lang);
+            let (lowered, run) = match lang {
+                Language::Jsoniq => (
+                    engine_flwor::parser::parse_module(&text)
+                        .ok()
+                        .and_then(|m| engine_flwor::compile::lower(&m)),
+                    plan.run_jsoniq(table, &env, true),
+                ),
+                _ => {
+                    let dialect = match lang {
+                        Language::BigQuery => engine_sql::Dialect::bigquery(),
+                        Language::Presto => engine_sql::Dialect::presto(),
+                        _ => engine_sql::Dialect::athena(),
+                    };
+                    (
+                        engine_sql::parser::parse_script(&text)
+                            .ok()
+                            .and_then(|s| engine_sql::compile::lower(&s)),
+                        plan.run_sql(dialect, table, &env, true),
+                    )
+                }
+            };
+            match lowered {
+                None => report.divergences.push(format!(
+                    "{} {}: text did not lower\nplan: {:?}",
+                    plan.label(),
+                    lang.name(),
+                    plan
+                )),
+                Some(got) if !same_plan(&got, &want) => report.divergences.push(format!(
+                    "{} {}: lowered to a different plan\n got: {got:?}\nwant: {want:?}",
+                    plan.label(),
+                    lang.name()
+                )),
+                Some(_) => {}
+            }
+            match run {
+                Ok(h) if h.counts_equal(&oracle) => {}
+                Ok(h) => report.divergences.push(format!(
+                    "{} {} compiled: histogram diverged from oracle \
+                     (engine total {}, oracle total {})\nplan: {:?}",
+                    plan.label(),
+                    lang.name(),
+                    h.total(),
+                    oracle.total(),
+                    plan
+                )),
+                Err(e) => report.divergences.push(format!(
+                    "{} {} compiled: failed: {e}\nplan: {:?}",
+                    plan.label(),
+                    lang.name(),
+                    plan
+                )),
+            }
+        }
+    }
+    report
+}
+
+/// Plan equality with the filters compared as a set (a frontend emits
+/// them in its own conjunct order).
+fn same_plan(a: &physical_ir::PhysPlan, b: &physical_ir::PhysPlan) -> bool {
+    a.compute == b.compute
+        && a.spec == b.spec
+        && a.filters.iter().all(|f| b.filters.contains(f))
+        && b.filters.iter().all(|f| a.filters.contains(f))
 }
 
 /// Runs `n_plans` seeded plans on every engine twice — zone-map pruning

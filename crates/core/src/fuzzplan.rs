@@ -523,11 +523,11 @@ impl FuzzPlan {
         )
     }
 
-    /// Lowers the plan to the shared physical IR. Unlike the engine-side
-    /// recognizers (which must prove a parsed query matches a template),
-    /// every fuzz plan lowers: the plan's node set is a subset of the
-    /// IR's by construction, which makes this the differential oracle
-    /// for the compiled executor itself.
+    /// Lowers the plan to the shared physical IR directly. Every fuzz
+    /// plan lowers: the plan's node set is a subset of the IR's by
+    /// construction, which makes this the differential oracle for the
+    /// compiled executor itself, and the reference the frontends'
+    /// structural lowering of [`FuzzPlan::text`] must reproduce.
     pub fn physical(&self) -> physical_ir::PhysPlan {
         use nested_value::Path;
         let jet_leaf = |f: JetField| Path::parse(&format!("Jet.{}", f.member()));
@@ -549,6 +549,7 @@ impl FuzzPlan {
                     leaf: jet_leaf(cp.elem.field),
                     cmp: cp.elem.cmp.sel(),
                     value: cp.elem.lit,
+                    abs: false,
                 }),
                 cmp: SelCmp::Ge,
                 count: cp.min_count as i64,
@@ -564,6 +565,7 @@ impl FuzzPlan {
                     leaf: jet_leaf(p.field),
                     cmp: p.cmp.sel(),
                     value: p.lit,
+                    abs: false,
                 }),
             },
         };
@@ -621,19 +623,25 @@ impl FuzzPlan {
     // ------------------------------------------------------------- execution
 
     /// Executes the plan on the SQL engine under a dialect, in an
-    /// [`ExecEnv`] (cache, threads, fault injector).
+    /// [`ExecEnv`] (cache, threads, fault injector). `compile` turns on
+    /// the engine's compiled path (taken when the text lowers); off, the
+    /// relational interpreter runs.
     pub fn run_sql(
         &self,
         dialect: Dialect,
         table: &Arc<Table>,
         env: &ExecEnv,
+        compile: bool,
     ) -> Result<Histogram, AdapterError> {
         let lang = match dialect.name {
             engine_sql::DialectName::BigQuery => Language::BigQuery,
             engine_sql::DialectName::Presto => Language::Presto,
             engine_sql::DialectName::Athena => Language::Athena,
         };
-        let mut options = engine_sql::SqlOptions::default();
+        let mut options = engine_sql::SqlOptions {
+            compile,
+            ..engine_sql::SqlOptions::default()
+        };
         if let Some(n) = env.intra_query_threads {
             options.n_threads = n;
         }
@@ -659,9 +667,18 @@ impl FuzzPlan {
         Ok(histogram)
     }
 
-    /// Executes the plan on the JSONiq engine in an [`ExecEnv`].
-    pub fn run_jsoniq(&self, table: &Arc<Table>, env: &ExecEnv) -> Result<Histogram, AdapterError> {
-        let mut options = engine_flwor::FlworOptions::default();
+    /// Executes the plan on the JSONiq engine in an [`ExecEnv`];
+    /// `compile` as in [`FuzzPlan::run_sql`].
+    pub fn run_jsoniq(
+        &self,
+        table: &Arc<Table>,
+        env: &ExecEnv,
+        compile: bool,
+    ) -> Result<Histogram, AdapterError> {
+        let mut options = engine_flwor::FlworOptions {
+            compile,
+            ..engine_flwor::FlworOptions::default()
+        };
         if let Some(n) = env.intra_query_threads {
             options.n_threads = n;
         }
@@ -878,17 +895,23 @@ mod tests {
         let env = ExecEnv::seed();
         for plan in sample_plans() {
             let oracle = plan.reference(&events);
-            for dialect in [Dialect::bigquery(), Dialect::presto(), Dialect::athena()] {
-                let h = plan.run_sql(dialect, &table, &env).unwrap();
+            for compile in [false, true] {
+                for dialect in [Dialect::bigquery(), Dialect::presto(), Dialect::athena()] {
+                    let h = plan.run_sql(dialect, &table, &env, compile).unwrap();
+                    assert!(
+                        h.counts_equal(&oracle),
+                        "{} {:?} (compile {compile}) diverged from oracle",
+                        plan.label(),
+                        dialect.name
+                    );
+                }
+                let h = plan.run_jsoniq(&table, &env, compile).unwrap();
                 assert!(
                     h.counts_equal(&oracle),
-                    "{} {:?} diverged from oracle",
-                    plan.label(),
-                    dialect.name
+                    "{} jsoniq (compile {compile}) diverged",
+                    plan.label()
                 );
             }
-            let h = plan.run_jsoniq(&table, &env).unwrap();
-            assert!(h.counts_equal(&oracle), "{} jsoniq diverged", plan.label());
             let h = plan.run_rdf(&table, &env).unwrap();
             assert!(h.counts_equal(&oracle), "{} rdf diverged", plan.label());
             let h = plan.run_compiled(&table, &env).unwrap();

@@ -182,25 +182,106 @@ mod tests {
         }
     }
 
+    /// The frontend's own `compile::lower` on a benchmark text.
+    fn lowered(lang: Language, q: QueryId) -> Option<physical_ir::PhysPlan> {
+        let t = text(lang, q);
+        match lang {
+            Language::Jsoniq => {
+                engine_flwor::compile::lower(&engine_flwor::parser::parse_module(&t).unwrap())
+            }
+            _ => engine_sql::compile::lower(&engine_sql::parser::parse_script(&t).unwrap()),
+        }
+    }
+
     #[test]
-    fn q6_texts_lower_to_the_compiled_path() {
-        // Guard against drift between these canonical texts and the
-        // engine-local templates: if recognition silently broke, Q6 would
-        // still be correct (interpreter fallback) but ~1000× slower.
-        for q in [QueryId::Q6a, QueryId::Q6b] {
-            for lang in [Language::Presto, Language::Athena] {
-                let script = engine_sql::parser::parse_script(&text(lang, q)).unwrap();
+    fn lowering_coverage_matrix() {
+        use nested_value::Path;
+        use nf2_columnar::SelCmp;
+        use physical_ir::{ComputeNode, FilterNode, PhysPlan, TrijetCompute, TrijetPlot};
+
+        // If recognition silently broke, results would stay correct
+        // (interpreter fallback) but these pairs would run 10–1000×
+        // slower.
+        let frontends = [
+            Language::BigQuery,
+            Language::Presto,
+            Language::Athena,
+            Language::Jsoniq,
+        ];
+        for lang in frontends {
+            for q in [
+                QueryId::Q1,
+                QueryId::Q2,
+                QueryId::Q3,
+                QueryId::Q4,
+                QueryId::Q6a,
+                QueryId::Q6b,
+            ] {
                 assert!(
-                    engine_sql::compile::lower(&script).is_some(),
+                    lowered(lang, q).is_some(),
                     "{:?} {} must lower to the physical IR",
                     lang,
                     q.name()
                 );
             }
-            let module = engine_flwor::parser::parse_module(&text(Language::Jsoniq, q)).unwrap();
-            assert!(
-                engine_flwor::compile::lower(&module).is_some(),
-                "JSONiq {} must lower to the physical IR",
+            // Pair compute (Q5, Q8) and the ΔR veto (Q7) have no IR node.
+            for q in [QueryId::Q5, QueryId::Q7, QueryId::Q8] {
+                assert!(
+                    lowered(lang, q).is_none(),
+                    "{:?} {} lowered, but the IR cannot express it",
+                    lang,
+                    q.name()
+                );
+            }
+        }
+        // The Q6 plans the batch workload runs, written out so that a
+        // lowering change cannot silently change what it measures.
+        for (q, plot, hi) in [
+            (QueryId::Q6a, TrijetPlot::Pt, 250.0),
+            (QueryId::Q6b, TrijetPlot::MaxBtag, 1.0),
+        ] {
+            let sql = PhysPlan {
+                filters: Vec::new(),
+                compute: ComputeNode::Trijet(TrijetCompute {
+                    pt: Path::parse("Jet.pt"),
+                    eta: Path::parse("Jet.eta"),
+                    phi: Path::parse("Jet.phi"),
+                    mass: Path::parse("Jet.mass"),
+                    btag: Path::parse("Jet.btag"),
+                    top_mass: 172.5,
+                    plot,
+                }),
+                spec: HistSpec {
+                    bins: 100,
+                    lo: 0.0,
+                    hi,
+                },
+            };
+            let jsoniq = PhysPlan {
+                filters: vec![FilterNode::ListCount {
+                    leaf: Path::parse("Jet.pt"),
+                    elem: None,
+                    cmp: SelCmp::Ge,
+                    count: 3,
+                }],
+                ..sql.clone()
+            };
+            assert_eq!(
+                lowered(Language::Presto, q).as_ref(),
+                Some(&sql),
+                "Presto {}",
+                q.name()
+            );
+            assert_eq!(
+                lowered(Language::Athena, q).as_ref(),
+                Some(&sql),
+                "Athena {}",
+                q.name()
+            );
+            assert_eq!(
+                lowered(Language::Jsoniq, q),
+                Some(jsoniq),
+                "JSONiq {}",
                 q.name()
             );
         }

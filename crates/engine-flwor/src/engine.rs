@@ -39,11 +39,12 @@ pub struct FlworOptions {
     /// [`nf2_columnar::ScanStats`]). Results are byte-identical either
     /// way; applies to interpreted and compiled execution alike.
     pub zone_map_pruning: bool,
-    /// Compiled execution: modules recognized by [`crate::compile`] run
-    /// as fused batch kernels over the shared physical IR instead of the
-    /// tree-walking interpreter. Recognition is exact (canonical-template
-    /// AST equality), so disabling this only costs speed; results are
-    /// bit-identical either way.
+    /// Compiled execution: modules [`crate::compile`] lowers run as fused
+    /// batch kernels over the shared physical IR instead of the
+    /// tree-walking interpreter. Lowering is structural and exact (it
+    /// proves filters, binning and the filled value against the IR), so
+    /// disabling this only costs speed; results are bit-identical either
+    /// way.
     pub compile: bool,
     /// Morsel-driven intra-query parallelism for compiled execution:
     /// `> 1` runs compiled plans through `exec_par` with this many
@@ -197,13 +198,15 @@ impl FlworEngine {
             .clone();
 
         // Compiled path detection happens under the Plan span: modules
-        // that are exact instances of the canonical template lower to a
-        // fused-kernel physical plan; everything else interprets. Neither
-        // detection nor compiled execution perturbs the scan accounting
-        // below — scan stats are defined by the projected columns (all of
-        // them, for Rumble), never by the execution strategy.
+        // the structural lowering can express become a fused-kernel
+        // physical plan, unless a leaf it reads holds NaNs (the kernels
+        // compare NaN differently from the interpreter); everything
+        // else interprets. Neither detection nor compiled execution
+        // perturbs the scan accounting below — scan stats are defined by
+        // the projected columns (all of them, for Rumble), never by the
+        // execution strategy.
         let compiled = if self.options.compile {
-            crate::compile::lower(&module)
+            crate::compile::lower_with(&module, table.schema()).filter(|p| !p.reads_nan(&table))
         } else {
             None
         };
@@ -284,8 +287,8 @@ impl FlworEngine {
             // materialization, no per-record interpretation (and hence no
             // simulated per-record overhead — the modeled JVM record cost
             // is exactly what compilation eliminates). The executor emits
-            // one bin index per selected event, in event order — the same
-            // sequence the interpreter produces for the template.
+            // one bin index per fill, in event then element order — the
+            // same sequence the interpreter returns.
             let t0 = Instant::now();
             let workers = self.options.parallel_workers;
             let recovering = self.options.morsel_recovery;

@@ -44,11 +44,12 @@ pub struct SqlOptions {
     /// by the projected columns, not by surviving rows, and results are
     /// identical because the WHERE clause still runs on the survivors.
     pub vectorized_filter: bool,
-    /// Compiled execution: scripts recognized by [`crate::compile`] run
-    /// as fused batch kernels over the shared physical IR instead of the
-    /// row-at-a-time relational interpreter. Recognition is exact
-    /// (canonical-template AST equality), so disabling this only costs
-    /// speed; results are bit-identical either way.
+    /// Compiled execution: scripts [`crate::compile`] lowers run as fused
+    /// batch kernels over the shared physical IR instead of the
+    /// row-at-a-time relational interpreter. Lowering is structural and
+    /// exact (it proves filters, binning and the filled value against
+    /// the IR), so disabling this only costs speed; results are
+    /// bit-identical either way.
     pub compile: bool,
     /// Morsel-driven intra-query parallelism for compiled execution:
     /// `> 1` runs compiled plans through `exec_par` with this many
@@ -205,14 +206,18 @@ impl SqlEngine {
         // Segment-parallel if the root is decomposable and exactly one base
         // table is referenced.
         let merge_spec = plan::root_merge_spec(&script);
-        // Compiled path detection (under the Plan span): scripts that are
-        // exact instances of the canonical template lower to a
-        // fused-kernel physical plan; everything else interprets. The
-        // scan accounting above and below is shared by both modes.
-        let compiled = if self.options.compile {
-            crate::compile::lower(&script)
-        } else {
-            None
+        // Compiled path detection (under the Plan span): scripts the
+        // structural lowering can express over the `events` table become
+        // a fused-kernel physical plan, unless a leaf it reads holds NaNs
+        // (the kernels compare NaN differently from the interpreter);
+        // everything else interprets. The scan accounting
+        // above and below is shared by both modes.
+        let compiled = match self.tables.get(crate::compile::EVENTS) {
+            Some(events) if self.options.compile => {
+                crate::compile::lower_with(&script, events.schema())
+                    .filter(|plan| !plan.reads_nan(events))
+            }
+            _ => None,
         };
         plan_span.finish();
 
@@ -247,8 +252,9 @@ impl SqlEngine {
             // and the billing pre-pass here stays fault-free — which is
             // what makes ScanStats byte-identical under injected faults
             // and recovered morsels impossible to double-bill.
-            let faults_at_morsels =
-                self.options.morsel_recovery && compiled.is_some() && name == "events";
+            let faults_at_morsels = self.options.morsel_recovery
+                && compiled.is_some()
+                && name == crate::compile::EVENTS;
             let scan_faults = if faults_at_morsels {
                 None
             } else {
@@ -278,12 +284,12 @@ impl SqlEngine {
         let skipped_groups = scan.groups_pruned;
 
         let cpu = Mutex::new(0.0f64);
-        // Compiled execution binds to the template's base table; the
-        // zone-map keep-mask still applies (pruned groups are skipped by
-        // the executor exactly as the interpreter skips them).
+        // Compiled execution binds to the `events` table; the zone-map
+        // keep-mask still applies (pruned groups are skipped by the
+        // executor exactly as the interpreter skips them).
         let compiled_exec = compiled.as_ref().and_then(|p| {
-            let table = self.tables.get("events")?;
-            let mask = masks.get("events")?;
+            let table = self.tables.get(crate::compile::EVENTS)?;
+            let mask = masks.get(crate::compile::EVENTS)?;
             Some((p, table, mask))
         });
         let (relation, threads_used, morsel_rec) = if let Some((cplan, table, mask)) = compiled_exec
@@ -329,17 +335,24 @@ impl SqlEngine {
                 e @ physical_ir::PirError::MorselPanic { .. } => SqlError::Eval(e.to_string()),
             })?;
             // The trivial final count, matching the binning tail's output
-            // contract: two columns (bin, n), one row per non-empty bin.
-            let mut counts: std::collections::BTreeMap<i64, i64> =
-                std::collections::BTreeMap::new();
+            // contract: two columns (bin, n), one row per non-empty bin,
+            // in first-appearance order like the interpreter's GROUP BY
+            // (so even order-sensitive consumers see the same relation).
+            // Bins lie in `-1..=bins`, so counts index a dense array.
+            let mut counts = vec![0i64; cplan.spec.bins + 2];
+            let mut order: Vec<i64> = Vec::new();
             for b in bins {
-                *counts.entry(b).or_insert(0) += 1;
+                let n = &mut counts[(b + 1) as usize];
+                if *n == 0 {
+                    order.push(b);
+                }
+                *n += 1;
             }
             let rel = Relation {
                 cols: vec!["bin".to_string(), "n".to_string()],
-                rows: counts
+                rows: order
                     .into_iter()
-                    .map(|(b, n)| vec![Value::Int(b), Value::Int(n)])
+                    .map(|b| vec![Value::Int(b), Value::Int(counts[(b + 1) as usize])])
                     .collect(),
             };
             *cpu.lock() += t0.elapsed().as_secs_f64();

@@ -358,6 +358,7 @@ mod tests {
             leaf: Path::parse("Jet.pt"),
             cmp: SelCmp::Gt,
             value: 30.0,
+            abs: false,
         };
         let plan = PhysPlan {
             filters: vec![FilterNode::ListCount {

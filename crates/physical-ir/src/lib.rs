@@ -2,9 +2,9 @@
 //!
 //! A batch-oriented physical plan shared by the three language engines.
 //!
-//! The frontends (engine-sql's planned query, engine-flwor's AST,
-//! engine-rdf's dataframe ops) each carry a *lowering pass* that maps the
-//! queries the IR can express onto one plan shape:
+//! The frontends (engine-sql's script, engine-flwor's module, engine-rdf's
+//! dataframe ops) each carry a *lowering pass* that maps the queries the
+//! IR can express onto one plan shape:
 //!
 //! ```text
 //! Scan → Filter* → Compute → Aggregate(histogram)
@@ -27,15 +27,22 @@
 //!   event order so each engine can shape its own output (JSONiq item
 //!   sequences, SQL `(bin, n)` relations, histograms).
 //!
-//! Lowering is capability-gated: a frontend lowers a query only when it can
-//! prove the plan reproduces the interpreter's exact float operation
-//! sequence (the trijet kernel replicates the reference kernel op for op);
-//! everything else falls back to the interpreters.
+//! Lowering is structural and capability-gated. The SQL and JSONiq
+//! frontends resolve their ASTs into the symbolic comprehension of
+//! [`lower`] (leaves, element copies, counts, argmins and a bin
+//! expression), and [`lower::histogram_plan`] builds the plan only when it
+//! can prove the plan reproduces the interpreter's result: the binning
+//! matches [`physics::HistSpec::bin_of`] piece by piece, and a trijet
+//! argmin replays the reference kernel's float operation sequence op for
+//! op. Everything else falls back to the interpreters, and so does a plan
+//! whose leaves hold NaNs ([`PhysPlan::reads_nan`]), which the kernels
+//! compare differently from the interpreters.
 
 pub mod agg;
 pub mod combi;
 pub mod exec;
 pub mod kernel;
+pub mod lower;
 pub mod plan;
 
 pub use agg::{Exchange, PartialAgg, Provenance};

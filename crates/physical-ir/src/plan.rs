@@ -1,13 +1,14 @@
 //! The physical plan node set.
 
 use nested_value::Path;
-use nf2_columnar::{ScalarPredicate, SelCmp};
+use nf2_columnar::{ScalarPredicate, SelCmp, Table};
 use physics::HistSpec;
 
 /// An element-level predicate over one leaf of a repeated column
-/// (`Jet.pt > 40.0`). Comparisons are plain IEEE comparisons, matching
-/// the per-element semantics of the interpreters and the reference
-/// oracle (HEP leaves carry no NaNs).
+/// (`Jet.pt > 40.0`, or `ABS(Jet.eta) < 1.0` with `abs`). Comparisons are
+/// plain IEEE comparisons, matching the per-element semantics of the
+/// interpreters and the reference oracle on NaN-free data; engines decline
+/// the compiled path for chunks that hold NaNs ([`PhysPlan::reads_nan`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ElemPredicate {
     /// The repeated leaf the predicate reads.
@@ -16,11 +17,15 @@ pub struct ElemPredicate {
     pub cmp: SelCmp,
     /// Literal to compare against.
     pub value: f64,
+    /// Compare the element's absolute value (`f64::abs`, as the
+    /// interpreters' `ABS`/`abs` builtins compute it).
+    pub abs: bool,
 }
 
 impl ElemPredicate {
     /// Evaluates the predicate on one element value.
     pub fn matches(&self, x: f64) -> bool {
+        let x = if self.abs { x.abs() } else { x };
         match self.cmp {
             SelCmp::Lt => x < self.value,
             SelCmp::Le => x <= self.value,
@@ -118,6 +123,19 @@ pub struct PhysPlan {
 }
 
 impl PhysPlan {
+    /// True when some chunk of a leaf the plan reads holds a NaN (its zone
+    /// map's `has_nan`). The interpreters compare under a total order that
+    /// puts NaN last, while element predicates and the trijet argmin
+    /// compare with IEEE semantics, so engines interpret such tables
+    /// instead.
+    pub fn reads_nan(&self, table: &Table) -> bool {
+        let cols = self.columns();
+        table.row_groups().iter().any(|g| {
+            cols.iter()
+                .any(|c| g.column(c).is_ok_and(|chunk| chunk.zone.has_nan))
+        })
+    }
+
     /// Every distinct leaf column the plan reads — the implicit Scan node.
     pub fn columns(&self) -> Vec<Path> {
         let mut cols: Vec<Path> = Vec::new();

@@ -55,9 +55,8 @@ fn hair_trigger() -> Option<BreakerConfig> {
     })
 }
 
-// Presto's Q6 text is the canonical lowering template, so this request
-// actually reaches the compiled-parallel morsel path (BigQuery's dialect
-// text does not lower and would fall back to the interpreter).
+// Q6 lowers structurally on every SQL dialect, so this request actually
+// reaches the compiled-parallel morsel path.
 fn compiled_parallel_q6(tenant: &str) -> QueryRequest {
     QueryRequest::new(tenant, System::Presto, QueryId::Q6a)
         .via_compiled()

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use hepquery::bench::queries::Language;
 use hepquery::bench::{adapters, ALL_QUERIES};
 use hepquery::exec_par::{self, ParOptions};
 use hepquery::physical_ir;
@@ -24,61 +25,82 @@ fn table() -> Arc<Table> {
     )
 }
 
-/// Every benchmark query that lowers to the compiled IR: the raw bin
-/// sequence from the parallel executor is byte-identical to the serial
-/// one at every worker count and steal seed.
+/// The plan a text frontend lowers a benchmark query to, if any.
+fn lowered(lang: Language, q: QueryId) -> Option<physical_ir::PhysPlan> {
+    let text = hepquery::bench::queries::text(lang, q);
+    match lang {
+        Language::Jsoniq => {
+            hepquery::jsoniq::compile::lower(&hepquery::jsoniq::parser::parse_module(&text).ok()?)
+        }
+        _ => hepquery::sql::compile::lower(&hepquery::sql::parser::parse_script(&text).ok()?),
+    }
+}
+
+/// Every benchmark query that a text frontend (BigQuery, Presto, Athena,
+/// JSONiq) lowers to the compiled IR: the raw bin sequence from the
+/// parallel executor is byte-identical to the serial one at every worker
+/// count and steal seed.
 #[test]
 fn parallel_bins_byte_identical_across_workers_and_steal_orders() {
     let table = table();
-    let mut lowered = 0;
+    let mut lowered_pairs = 0;
     for q in ALL_QUERIES {
-        let script = hepquery::sql::parser::parse_script(&hepquery::bench::queries::text(
-            hepquery::bench::queries::Language::Presto,
-            *q,
-        ))
-        .unwrap();
-        let Some(plan) = hepquery::sql::compile::lower(&script) else {
-            continue;
-        };
-        lowered += 1;
-        let serial = physical_ir::execute(
-            &plan,
-            &table,
-            None,
-            &obs::TraceCtx::disabled(),
-            &obs::CancelToken::none(),
-        )
-        .unwrap();
-        for workers in [1, 2, 8] {
-            for steal_seed in [0u64, 0x5EED, u64::MAX] {
-                let (bins, stats) = exec_par::execute(
-                    &plan,
-                    &table,
-                    None,
-                    &obs::TraceCtx::disabled(),
-                    &obs::CancelToken::none(),
-                    None,
-                    &ParOptions {
-                        workers,
-                        steal_seed,
-                        recovery: None,
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    bins,
-                    serial,
-                    "{}: parallel bins diverged at workers={workers} seed={steal_seed:#x}",
-                    q.name()
-                );
-                // Exactly one morsel per row group: nothing lost, nothing
-                // executed twice.
-                assert_eq!(stats.morsels, table.row_groups().len() as u64);
-                assert_eq!(stats.rows, table.n_rows() as u64);
-            }
+        for lang in [
+            Language::BigQuery,
+            Language::Presto,
+            Language::Athena,
+            Language::Jsoniq,
+        ] {
+            let Some(plan) = lowered(lang, *q) else {
+                continue;
+            };
+            lowered_pairs += 1;
+            check_parallel_bins(&plan, &table, &format!("{} {}", lang.name(), q.name()));
         }
     }
-    assert!(lowered >= 2, "expected several queries to lower: {lowered}");
+    assert_eq!(
+        lowered_pairs, 24,
+        "expected Q1–Q4, Q6a and Q6b to lower on all four text frontends"
+    );
+}
+
+/// Serial vs morsel-parallel execution of one plan at 1, 2 and 8
+/// workers under several steal seeds.
+fn check_parallel_bins(plan: &physical_ir::PhysPlan, table: &Table, label: &str) {
+    let serial = physical_ir::execute(
+        plan,
+        table,
+        None,
+        &obs::TraceCtx::disabled(),
+        &obs::CancelToken::none(),
+    )
+    .unwrap();
+    for workers in [1, 2, 8] {
+        for steal_seed in [0u64, 0x5EED, u64::MAX] {
+            let (bins, stats) = exec_par::execute(
+                plan,
+                table,
+                None,
+                &obs::TraceCtx::disabled(),
+                &obs::CancelToken::none(),
+                None,
+                &ParOptions {
+                    workers,
+                    steal_seed,
+                    recovery: None,
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                bins, serial,
+                "{label}: parallel bins diverged at workers={workers} seed={steal_seed:#x}"
+            );
+            // Exactly one morsel per row group: nothing lost, nothing
+            // executed twice.
+            assert_eq!(stats.morsels, table.row_groups().len() as u64);
+            assert_eq!(stats.rows, table.n_rows() as u64);
+        }
+    }
 }
 
 /// Through the SQL engine: identical histograms AND identical ScanStats
